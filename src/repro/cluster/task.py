@@ -6,19 +6,25 @@ the stack builds on:
 
 * **Local compute accrual** — ``charge(dt)`` adds to a pending-time
   accumulator without touching the event queue; the accumulator is
-  *flushed* (turned into engine timeouts) at interaction points.  This is
+  *flushed* (turned into engine time) at interaction points.  This is
   the classic lookahead optimisation: a rank executing millions of
   instrumented function calls costs O(interactions) engine events, not
   O(calls).  ``task.now`` (= engine time + pending) is the clock trace
   timestamps are taken from, so timestamps stay consistent because every
   cross-task interaction flushes first.
 
+* **One event per flush** — a flush is defined quantum by quantum
+  (``compute_quantum``), but a flush of many quanta with the gate open
+  waits on one :class:`Timeout` at its last quantum boundary, computed
+  with the engine's own additions so it is bit-identical.
+
 * **Suspension** — DPCL-style suspend/resume via a :class:`Gate`.  A
-  suspend request closes the gate; the task parks at its next flush or
-  checkpoint (within one compute quantum), mirroring how ptrace stops
-  land at kernel entry.  Suspension intervals are reported to an optional
-  observer so the timeline view can show the paper's "region of
-  inactivity".
+  suspend request closes the gate; the task parks at the first quantum
+  boundary at or after the request (or at its next checkpoint),
+  mirroring how ptrace stops land at kernel entry.  A request that finds
+  the task waiting on a fast-forwarded flush rewinds that wait to the
+  boundary.  Suspension intervals are reported to an optional observer
+  so the timeline view can show the paper's "region of inactivity".
 """
 
 from __future__ import annotations
@@ -30,6 +36,28 @@ from .machine import MachineSpec
 from .node import Node
 
 __all__ = ["Task", "TaskObserver"]
+
+
+_INF = float("inf")
+
+
+def _boundary(start: float, pending: float, quantum: float, until: float) -> Tuple[float, float]:
+    """Walk a flush of ``pending`` seconds begun at ``start`` quantum by
+    quantum to its first boundary ``t_j >= until`` (or its last one).
+
+    Returns ``(t_j, p_j)``: the boundary's time and the compute still
+    pending there.  Each step repeats the engine's own arithmetic — a
+    ``Timeout(dt)`` at time ``t`` lands at ``t + dt`` — so ``t_j`` is
+    bit-identical to the time a quantum-by-quantum flush reaches.
+    """
+    t, left = start, pending
+    while left > 0.0:
+        dt = left if left < quantum else quantum
+        left -= dt
+        t += dt
+        if t >= until:
+            break
+    return t, left
 
 
 class TaskObserver:
@@ -58,6 +86,9 @@ class Task:
         self.name = name
         self.spec = spec
         self._pending = 0.0
+        #: While a fast-forwarded flush waits: (event, start, pending,
+        #: waiting process) — what :meth:`_rewind` needs to cut it back.
+        self._forward: Optional[Tuple[Event, float, float, Optional[Process]]] = None
         self._gate = Gate(env, open_=True, name=f"{name}.suspend")
         self._gate.on_park = lambda _gate, _n: self._notify_stop_watchers()
         self._suspend_requests = 0
@@ -99,6 +130,8 @@ class Task:
             raise ValueError(f"negative charge {dt}")
         if self.slowdown != 1.0:
             dt *= self.slowdown
+        if self._forward is not None:
+            self._rewind()
         self._pending += dt
         self.compute_time += dt
 
@@ -107,6 +140,8 @@ class Task:
         (e.g. to align a forked thread with its master's clock)."""
         if dt < 0:
             raise ValueError(f"negative offset {dt}")
+        if self._forward is not None:
+            self._rewind()
         self._pending += dt
 
     # -- lifecycle ------------------------------------------------------------
@@ -149,21 +184,63 @@ class Task:
     # -- compute & flushing ---------------------------------------------------
 
     def flush(self) -> Generator:
-        """Turn pending compute into engine time, quantum by quantum.
+        """Turn pending compute into engine time.
 
-        Parks on the suspend gate between quanta, so a suspend request
-        takes effect within one quantum of simulated time.
+        Semantically the compute runs quantum by quantum, parking on the
+        suspend gate between quanta so a suspend request takes effect
+        within one quantum of simulated time.  A flush of many quanta
+        with the gate open is *fast-forwarded*: the quantum boundaries
+        ``t_j`` are summed in a tight float loop — the very additions the
+        engine would make, ``now + dt`` per quantum — and the task waits
+        on one :class:`Timeout` at the last boundary.  If anything
+        touches the task before that event fires (a suspend request, a
+        foreign charge, an interrupt), :meth:`_rewind` cuts the wait
+        back to the first boundary at or after the current time, so the
+        task behaves exactly as if it had taken every quantum.
         """
         quantum = self.spec.compute_quantum
         env = self.env
         while self._pending > 0.0:
             if not self._gate.is_open:
                 yield from self._park()
-            dt = self._pending if quantum <= 0 else min(self._pending, quantum)
-            self._pending -= dt
-            yield Timeout(env, dt)
+            pending = self._pending
+            self._pending = 0.0
+            if quantum <= 0.0 or pending <= quantum:
+                yield Timeout(env, pending)
+                continue
+            start = env.now
+            event = env.timeout_at(_boundary(start, pending, quantum, _INF)[0])
+            self._forward = (event, start, pending, env.active_process)
+            try:
+                yield event
+            except BaseException:
+                if self._forward is not None:
+                    self._forward = None
+                    env.cancel(event)
+                    self._pending = _boundary(start, pending, quantum, env.now)[1]
+                raise
+            self._forward = None
         if not self._gate.is_open:
             yield from self._park()
+
+    def _rewind(self) -> None:
+        """Cut a fast-forward wait back to the first boundary ``t_j >= now``.
+
+        Re-arms the waiter on a :class:`Timeout` at ``t_j`` and restores
+        the pending remainder ``p_j``, leaving the task exactly where the
+        quantum-by-quantum loop would have it.
+        """
+        event, start, pending, proc = self._forward
+        self._forward = None
+        when, left = _boundary(start, pending, self.spec.compute_quantum, self.env.now)
+        self._pending = left
+        if left == 0.0:  # t_j is the fast-forward's own last boundary
+            return
+        self.env.cancel(event)
+        rearmed = self.env.timeout_at(when)
+        rearmed.callbacks, event.callbacks = event.callbacks, []
+        if proc is not None and proc._target is event:
+            proc._target = rearmed
 
     def compute(self, dt: float) -> Generator:
         """Charge and immediately flush ``dt`` seconds of compute."""
@@ -221,6 +298,8 @@ class Task:
         """Ask the task to stop at its next checkpoint (nestable)."""
         self._suspend_requests += 1
         self._gate.close()
+        if self._forward is not None:
+            self._rewind()
         self._notify_stop_watchers()
 
     def when_parked(self) -> Event:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import fnmatch
 import inspect
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..simt import Environment, Event
 from .snippet import Snippet
@@ -79,12 +79,27 @@ class ExecutableImage:
     def __init__(self, name: str) -> None:
         self.name = name
         self.symbols: Dict[str, FunctionSymbol] = {}
+        #: glob -> matching symbol names, in symbol-table order.
+        self._matches: Dict[str, Tuple[str, ...]] = {}
 
     def add_function(self, symbol: FunctionSymbol) -> FunctionSymbol:
         if symbol.name in self.symbols:
             raise ValueError(f"duplicate symbol {symbol.name!r} in {self.name}")
         self.symbols[symbol.name] = symbol
+        self._matches.clear()
         return symbol
+
+    def match(self, pattern: str) -> Tuple[str, ...]:
+        """Names of the symbols matching glob ``pattern``, in table order.
+
+        Memoised per pattern: every rank's image resolves the same globs.
+        """
+        names = self._matches.get(pattern)
+        if names is None:
+            names = self._matches[pattern] = tuple(
+                n for n in self.symbols if fnmatch.fnmatchcase(n, pattern)
+            )
+        return names
 
     def define(self, name: str, body: Optional[Callable] = None, **kw: Any) -> FunctionSymbol:
         """Convenience: create and add a FunctionSymbol."""
@@ -210,9 +225,8 @@ class ProcessImage:
 
     def find_functions(self, pattern: str) -> List[FunctionInstance]:
         """Glob-match function names (dynprof's insert/remove arguments)."""
-        return [
-            fi for n, fi in self.functions.items() if fnmatch.fnmatchcase(n, pattern)
-        ]
+        functions = self.functions
+        return [functions[n] for n in self.exe.match(pattern) if n in functions]
 
     # -- address space ----------------------------------------------------------
 

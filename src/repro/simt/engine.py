@@ -110,6 +110,31 @@ class Environment:
         """Create a :class:`Timeout` triggering ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create a :class:`Timeout` triggering at absolute time ``when``.
+
+        The event's queue key is ``when`` itself, bit for bit — unlike
+        ``timeout(when - now)``, whose key ``now + (when - now)`` can
+        differ from ``when`` in the last place.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout at {when} is in the past (now={self._now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._cancelled = False
+        event.delay = when - self._now
+        event._ok = True
+        event._value = value
+        key = (when, NORMAL)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = bucket = deque()
+            heappush(self._keyheap, key)
+        bucket.append(event)
+        self._live += 1
+        return event
+
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator, name=name)

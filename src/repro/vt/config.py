@@ -20,7 +20,8 @@ Directives are case-insensitive; symbol globs are case-sensitive.
 from __future__ import annotations
 
 import fnmatch
-from typing import Iterable, List, Set, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 __all__ = ["VTConfig", "VTConfigError"]
 
@@ -36,6 +37,31 @@ def _parse_on_off(token: str, line_no: int) -> bool:
     if t == "OFF":
         return False
     raise VTConfigError(f"line {line_no}: expected ON or OFF, got {token!r}")
+
+
+@lru_cache(maxsize=64)
+def _resolver(
+    rules: Tuple[Tuple[str, bool], ...], default_on: bool
+) -> Callable[[str], bool]:
+    """A memoised last-match-wins resolver for one rule set.
+
+    Every rank of a job resolves every symbol against the same rules;
+    the memo makes that one ``fnmatch`` pass per rule set and symbol
+    instead of one per rank.
+    """
+    memo: Dict[str, bool] = {}
+
+    def resolve(name: str) -> bool:
+        state = memo.get(name)
+        if state is None:
+            state = default_on
+            for glob, active in rules:
+                if fnmatch.fnmatchcase(name, glob):
+                    state = active
+            memo[name] = state
+        return state
+
+    return resolve
 
 
 class VTConfig:
@@ -108,17 +134,22 @@ class VTConfig:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def resolver(self) -> Callable[[str], bool]:
+        """``name -> active`` under the current rules (last match wins).
+
+        Memoised per rule set, and keyed on a snapshot of :attr:`rules`
+        and :attr:`default_on`, so mutating either yields a fresh one.
+        """
+        return _resolver(tuple(self.rules), self.default_on)
+
     def is_active(self, name: str) -> bool:
         """Resolve one symbol against the rules (last match wins)."""
-        state = self.default_on
-        for glob, active in self.rules:
-            if fnmatch.fnmatchcase(name, glob):
-                state = active
-        return state
+        return self.resolver()(name)
 
     def deactivation_table(self, names: Iterable[str]) -> Set[str]:
         """The table VT builds at init: the set of *deactivated* symbols."""
-        return {n for n in names if not self.is_active(n)}
+        active = self.resolver()
+        return {n for n in names if not active(n)}
 
     # -- serialisation (what confsync broadcasts) -----------------------------------
 

@@ -195,10 +195,11 @@ class VTProcessState:
         self._init_time = task.now
 
     def _rebuild_table(self) -> None:
+        active = self.config.resolver()
         self._off = {
             fi.fid
             for fi in self.image.functions.values()
-            if fi.fid is not None and not self.config.is_active(fi.name)
+            if fi.fid is not None and not active(fi.name)
         }
 
     def funcdef(self, task: Task, name: str) -> int:

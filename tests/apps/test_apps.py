@@ -84,6 +84,19 @@ def test_smg98_residual_decreases():
     assert all(b <= a * 1.0001 for a, b in zip(residuals, residuals[1:]))
 
 
+def test_smg98_neighbour_gathers_equal_np_roll_bit_for_bit():
+    import numpy as np
+
+    from repro.apps.smg98 import LOCAL_N, _neighbour_sum
+
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = rng.standard_normal((LOCAL_N, LOCAL_N))
+        rolled = (np.roll(u, 1, 0) + np.roll(u, -1, 0)
+                  + np.roll(u, 1, 1) + np.roll(u, -1, 1))
+        assert np.array_equal(_neighbour_sum(u), rolled)
+
+
 def test_sppm_conserves_mass():
     job, _ = run_app(SPPM, 4, scale=0.15)
     state = job.pctxs[0].props["sppm"]

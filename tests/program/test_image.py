@@ -1,6 +1,10 @@
 """Tests for executable/process images, symbols, variables, patching."""
 
+import fnmatch
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.program import (
     ENTRY,
@@ -73,6 +77,38 @@ def test_find_functions_glob():
     names = sorted(fi.name for fi in pim.find_functions("solve_*"))
     assert names == ["solve_energy", "solve_pressure"]
     assert pim.find_functions("zzz*") == []
+
+
+@given(
+    before=st.lists(st.sampled_from(
+        ["main", "solve_a", "solve_b", "io_dump", "s1", "sx"]), unique=True),
+    after=st.lists(st.sampled_from(["solve_c", "s2", "zz"]), unique=True),
+    patterns=st.lists(st.sampled_from(
+        ["*", "solve_*", "s?", "*_dump", "[ms]*", "zz*", "main"]), max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_memoised_find_functions_matches_uncached(before, after, patterns):
+    """Glob results are memoised per (executable, pattern): each rank's
+    image answers from one match, in symbol-table order, and symbols
+    added later reach new images but not ones already built."""
+    env = Environment()
+    exe = ExecutableImage("app")
+    for name in before:
+        exe.define(name)
+    early = ProcessImage(env, exe, "app[0]")
+
+    def uncached(pim, pattern):
+        return [fi for n, fi in pim.functions.items()
+                if fnmatch.fnmatchcase(n, pattern)]
+
+    for pattern in patterns:
+        assert early.find_functions(pattern) == uncached(early, pattern)
+    for name in after:
+        exe.define(name)
+    late = ProcessImage(env, exe, "app[1]")
+    for pattern in patterns + ["*"]:
+        assert early.find_functions(pattern) == uncached(early, pattern)
+        assert late.find_functions(pattern) == uncached(late, pattern)
 
 
 def test_install_and_remove_probe():

@@ -336,3 +336,36 @@ def test_step_skips_cancelled_events():
     env.step()
     assert live.processed
     assert env.now == 2.0
+
+
+def test_timeout_at_uses_the_absolute_time_as_its_key():
+    # 0.2 + (0.9 - 0.2) != 0.9 in floats: a relative timeout cannot land
+    # on an absolute time computed elsewhere; timeout_at can.
+    env = Environment(initial_time=0.2)
+    assert env.now + (0.9 - env.now) != 0.9
+    seen = []
+
+    def proc(env):
+        ev = env.timeout_at(0.9, value="v")
+        assert ev.delay == 0.9 - 0.2
+        seen.append((yield ev))
+
+    env.process(proc(env))
+    env.run()
+    assert env.now == 0.9
+    assert seen == ["v"]
+
+
+def test_timeout_at_shares_fifo_order_with_relative_timeouts():
+    env = Environment()
+    order = []
+    env.timeout(1.0).callbacks.append(lambda _e: order.append("relative"))
+    env.timeout_at(1.0).callbacks.append(lambda _e: order.append("absolute"))
+    env.run()
+    assert order == ["relative", "absolute"]
+
+
+def test_timeout_at_in_the_past_rejected():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.0)
