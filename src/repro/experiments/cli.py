@@ -485,6 +485,8 @@ def _write_trace_documents(
     import json as _json
     import os as _os
 
+    from ..obs.export import write_trace_document
+
     if args.trace == "-":
         for label in sorted(runner.traces):
             sys.stdout.write(_json.dumps(
@@ -500,8 +502,7 @@ def _write_trace_documents(
     for label in sorted(runner.traces):
         path = _os.path.join(args.trace, f"{_safe_label(label)}.trace.json")
         with _open_text_output(path, "trace document") as fh:
-            _json.dump(runner.traces[label], fh, indent=1)
-            fh.write("\n")
+            write_trace_document(runner.traces[label], fh)
         paths.append(path)
     if not quiet:
         print(f"wrote {len(paths)} trace(s) to {args.trace}", file=sys.stderr)
@@ -803,7 +804,7 @@ def trace_main(argv: List[str]) -> int:
     if argv and argv[0] == "compact":
         return trace_compact_main(argv[1:])
     from ..obs.analysis import render_trace_summary
-    from ..obs.export import save_trace_svg, write_chrome_trace
+    from ..obs.export import save_trace_svg, write_chrome_trace, write_trace_document
     from ..obs.trace import DEFAULT_CAPACITY
     from ..runner.worker import execute_point
 
@@ -896,11 +897,8 @@ def trace_main(argv: List[str]) -> int:
                   f"volume model)", file=sys.stderr)
 
     if args.out:
-        import json as _json
-
         with _open_text_output(args.out, "trace document") as fh:
-            _json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            write_trace_document(doc, fh)
         if args.out != "-":
             print(f"wrote trace document to {args.out}", file=sys.stderr)
     if args.chrome:

@@ -24,6 +24,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
+    "write_trace_document",
     "to_chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
@@ -33,6 +34,37 @@ __all__ = [
 
 #: Simulated seconds -> trace-event microseconds.
 _US = 1e6
+
+#: Compact JSON through CPython's C encoder (``json.dump`` and any
+#: ``indent`` fall back to the pure-Python one).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+# -- trace documents --------------------------------------------------------------
+
+
+def write_trace_document(doc: Dict[str, Any], fh: Any) -> None:
+    """Write a trace document to text stream ``fh`` as one line of
+    compact JSON.
+
+    The bytes equal ``json.dumps(doc, separators=(",", ":")) + "\n"``,
+    but ``doc["tracks"]`` is encoded one track at a time, so the whole
+    document never exists as one string.
+    """
+    fh.write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        if i:
+            fh.write(",")
+        if key != "tracks" or not isinstance(value, list):
+            fh.write(_encode({key: value})[1:-1])
+            continue
+        fh.write(_encode({key: []})[1:-2])  # '"tracks":['
+        for j, track in enumerate(value):
+            if j:
+                fh.write(",")
+            fh.write(_encode(track))
+        fh.write("]")
+    fh.write("}\n")
 
 
 # -- Chrome trace-event JSON ------------------------------------------------------
@@ -110,8 +142,7 @@ def to_chrome_trace(doc: Dict[str, Any]) -> Dict[str, Any]:
 def write_chrome_trace(doc: Dict[str, Any], path: str) -> None:
     """Write a trace document to ``path`` as Chrome trace-event JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace(doc), fh)
-        fh.write("\n")
+        fh.write(json.dumps(to_chrome_trace(doc)) + "\n")
 
 
 #: Required fields per trace-event phase (the schema the round-trip

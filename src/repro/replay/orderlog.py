@@ -45,6 +45,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
+from array import array
 from typing import Any, Dict, List, NamedTuple, Optional
 
 __all__ = [
@@ -152,7 +153,7 @@ class OrderLog:
     # -- serialisation --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        from ..compact.varint import DeltaEncoder, encode_uvarint, zigzag
+        from ..compact.varint import encode_uvarint
 
         out = bytearray()
         out += _MAGIC
@@ -162,25 +163,50 @@ class OrderLog:
         ).encode("utf-8")
         encode_uvarint(len(meta_blob), out)
         out += meta_blob
+        decisions = self.decisions
+        n = len(decisions)
         # String table, first-appearance order.
-        table: Dict[str, int] = {}
-        for d in self.decisions:
-            if d.key not in table:
-                table[d.key] = len(table)
+        table = {key: i for i, key in enumerate(dict.fromkeys(d[1] for d in decisions))}
         encode_uvarint(len(table), out)
         for key in table:
             blob = key.encode("utf-8")
             encode_uvarint(len(blob), out)
             out += blob
-        encode_uvarint(len(self.decisions), out)
-        times = DeltaEncoder()
-        for d in self.decisions:
-            encode_uvarint(d.channel, out)
-            encode_uvarint(table[d.key], out)
-            encode_uvarint(zigzag(d.value), out)
-            times.encode(d.time, out)
+        encode_uvarint(n, out)
+        # Every timestamp's IEEE-754 bit pattern in one zero-copy
+        # reinterpretation; the per-decision loop below is the
+        # compact.varint encoders (uvarint, zigzag, DeltaEncoder) with
+        # the one-byte case inline.
+        times = array("d", [d[3] for d in decisions])
+        bit_patterns = memoryview(times).cast("B").cast("q")
+        append = out.append
+        prev_bits = prev_delta = 0
+        for (channel, key, value, _time), bits in zip(decisions, bit_patterns):
+            if 0 <= channel < 128:
+                append(channel)
+            else:
+                encode_uvarint(channel, out)
+            index = table[key]
+            if index < 128:
+                append(index)
+            else:
+                encode_uvarint(index, out)
+            z = value * 2 if value >= 0 else -value * 2 - 1
+            if z < 128:
+                append(z)
+            else:
+                encode_uvarint(z, out)
+            delta = bits - prev_bits
+            dod = delta - prev_delta
+            prev_bits = bits
+            prev_delta = delta
+            z = dod * 2 if dod >= 0 else -dod * 2 - 1
+            if z < 128:
+                append(z)
+            else:
+                encode_uvarint(z, out)
         # Counted trailer: a truncated log fails loudly, not shortly.
-        encode_uvarint(len(self.decisions), out)
+        encode_uvarint(n, out)
         out += _TRAILER
         return bytes(out)
 
@@ -216,7 +242,9 @@ class OrderLog:
                     Decision(channel, table[key_idx], unzigzag(z), t)
                 )
             trailer_n, pos = decode_uvarint(data, pos)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, struct.error) as exc:
+            # struct.error: a corrupt timestamp delta pushed the bit
+            # pattern outside the 64-bit range.
             if isinstance(exc, ValueError) and "order-log" in str(exc):
                 raise
             raise ValueError(f"truncated or corrupt order log: {exc}") from None

@@ -130,13 +130,18 @@ class ResultCache:
         }
         if meta:
             entry["meta"] = meta
+        self._write(key, entry)
+
+    def _write(self, key: str, entry: Dict[str, Any]) -> None:
+        """Atomically store the entry document ``entry`` under ``key``:
+        a temp file beside the entry, then ``os.replace``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", suffix=".tmp",
                                    dir=path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Protocol, Tuple, Union, runtime_checkable
 
 from ..obs import get as _obs_get
-from ..runner.cache import ResultCache
+from ..runner.cache import ResultCache, _package_version
 from ..runner.point import SweepPoint
 from ..runner.retry import RetryPolicy
 
@@ -53,12 +53,6 @@ __all__ = [
     "build_entry",
     "validate_entry",
 ]
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 def build_entry(
@@ -212,24 +206,7 @@ class DirectoryBackend(_StatsMixin, ResultCache):
     def put_entry(self, key: str, entry: Dict[str, Any]) -> None:
         if not validate_entry(key, entry):
             raise ValueError(f"malformed cache entry for key {key[:12]}...")
-        # Reuse the atomic tmp-file + os.replace write of ResultCache.put
-        # but with the caller's entry document verbatim.
-        import tempfile
-
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", suffix=".tmp",
-                                   dir=path.parent)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self._write(key, entry)
         self._evict_if_needed()
 
     def put(

@@ -2,6 +2,7 @@
 integrity, Chrome-trace export, critical-path / perturbation analysis,
 and the tracing-on == tracing-off guarantee."""
 
+import io
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.obs.export import (
     trace_to_svg,
     validate_chrome_trace,
     write_chrome_trace,
+    write_trace_document,
 )
 from repro.obs.trace import NullTracer, Tracer
 from repro.runner import SweepPoint, SweepRunner
@@ -225,6 +227,40 @@ def test_chrome_trace_round_trip_is_schema_valid(tmp_path):
     assert max(e["ts"] for e in spans) > 1e3
 
 
+def _compact_json(doc):
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _written(doc):
+    fh = io.StringIO()
+    write_trace_document(doc, fh)
+    return fh.getvalue()
+
+
+def test_trace_document_writer_matches_one_shot_compact_json():
+    doc = _traced_policy_run(policy="Full", cpus=4)["trace"]
+    assert len(doc["tracks"]) > 1
+    assert _written(doc) == _compact_json(doc)
+
+
+def test_trace_document_writer_handles_zero_tracks():
+    doc = Tracer().snapshot()
+    assert doc["tracks"] == []
+    assert _written(doc) == _compact_json(doc)
+    assert _written({}) == "{}\n"
+
+
+def test_trace_document_writer_keeps_folded_args():
+    doc = _looping_tracer(capacity=16, compact=True).snapshot()
+    assert any(
+        (e.get("args") or {}).get("folded")
+        for track in doc["tracks"] for e in track["events"]
+    )
+    text = _written(doc)
+    assert text == _compact_json(doc)
+    assert json.loads(text) == doc
+
+
 def test_chrome_validator_rejects_malformed_documents():
     with pytest.raises(ValueError):
         validate_chrome_trace({"events": []})
@@ -365,6 +401,45 @@ def test_cli_trace_dir_writes_schema_valid_documents(tmp_path, capsys):
     )
     assert trace_doc["kind"] == "repro.trace"
     validate_chrome_trace(to_chrome_trace(trace_doc))
+
+
+def test_cli_trace_dir_documents_load_equal_to_runner_traces(tmp_path, capsys):
+    from repro.experiments.cli import _safe_label, sweep_main
+
+    trace_dir = tmp_path / "traces"
+    assert sweep_main([
+        "--apps", "smg98", "--policies", "Full,Dynamic", "--cpus", "2",
+        "--scale", "0.02", "--no-cache", "--trace", str(trace_dir),
+    ]) == 0
+    capsys.readouterr()
+
+    runner = SweepRunner(collect_trace=True)
+    runner.run([
+        SweepPoint.policy_cell("smg98", policy, 2, scale=0.02)
+        for policy in ("Full", "Dynamic")
+    ])
+    assert len(runner.traces) == 2
+    assert len(list(trace_dir.iterdir())) == 2
+    for label in runner.traces:
+        path = trace_dir / f"{_safe_label(label)}.trace.json"
+        text = path.read_text(encoding="utf-8")
+        assert text == _compact_json(runner.traces[label])
+        assert json.loads(text) == runner.traces[label]
+
+
+def test_cli_trace_out_writes_compact_document(tmp_path, capsys):
+    from repro.experiments.cli import trace_main
+
+    out = tmp_path / "t.trace.json"
+    assert trace_main([
+        "--app", "smg98", "--policy", "Dynamic", "--cpus", "2",
+        "--scale", "0.02", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["kind"] == "repro.trace"
+    assert text == _compact_json(doc)
 
 
 def test_cli_trace_subcommand_prints_summary(tmp_path, capsys):

@@ -98,6 +98,25 @@ def test_cache_round_trip(tmp_path):
     assert cache.clear() == 1 and len(cache) == 0
 
 
+def test_entry_file_is_one_shot_json(tmp_path):
+    from repro import __version__
+
+    cache = ResultCache(tmp_path)
+    p = _cell()
+    key = point_key(p)
+    payload = {"time": 1.25, "series": [0.1, float("inf")], "name": "caf\u00e9"}
+    cache.put(key, p, payload, meta={"wall_time": 0.5})
+    entry = {
+        "key": key,
+        "version": __version__,
+        "point": p.canonical(),
+        "payload": payload,
+        "meta": {"wall_time": 0.5},
+    }
+    path = tmp_path / key[:2] / f"{key}.json"
+    assert path.read_bytes() == json.dumps(entry).encode("utf-8")
+
+
 def test_corrupted_entry_is_a_miss_and_discarded(tmp_path):
     cache = ResultCache(tmp_path)
     p = _cell()

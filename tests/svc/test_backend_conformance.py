@@ -150,6 +150,15 @@ def test_put_entry_stores_entry_verbatim(rig):
     assert got["meta"] == {"origin": "test"}
 
 
+def test_directory_entry_file_is_one_shot_json(tmp_path):
+    backend = DirectoryBackend(tmp_path)
+    key = key_for(0)
+    entry = build_entry(key, None, {"answer": [42, -0.0]}, meta={"origin": "\u00e9"})
+    backend.put_entry(key, entry)
+    path = tmp_path / key[:2] / f"{key}.json"
+    assert path.read_bytes() == json.dumps(entry).encode("utf-8")
+
+
 def test_put_entry_rejects_malformed(rig):
     with pytest.raises(ValueError):
         rig.backend.put_entry(key_for(1), {"payload": 1})  # wrong key
